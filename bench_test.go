@@ -30,10 +30,13 @@ import (
 	"sendforget/internal/view"
 )
 
-// benchExperiment regenerates one registered experiment per iteration.
+// benchExperiment regenerates one registered experiment per iteration. The
+// degree-MC memo is reset each time, so every iteration times the
+// fixed-point solves rather than a lookup of the first iteration's result.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
+		degreemc.ResetSolveCache()
 		if _, err := experiments.Run(id); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -133,6 +136,17 @@ func BenchmarkDegreeMCSolveSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkDegreeMCSolveFig63 solves fig6.3's middle degree MC (s=40,
+// dL=18, loss 0.01) from a cold cache. CI gates its ns/op.
+func BenchmarkDegreeMCSolveFig63(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		degreemc.ResetSolveCache()
+		if _, err := degreemc.Solve(degreemc.Params{S: 40, DL: 18, Loss: 0.01}, degreemc.SolveOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDegreeMCSolveCached measures a cache hit: the steady-state lookup
 // path the experiment runners take when they re-request a solved chain.
 func BenchmarkDegreeMCSolveCached(b *testing.B) {
@@ -168,7 +182,7 @@ func BenchmarkStationary(b *testing.B) {
 }
 
 // BenchmarkStationaryCSR measures the same power iteration on the finalized
-// CSR form the solver now iterates.
+// CSR form.
 func BenchmarkStationaryCSR(b *testing.B) {
 	sp, err := degreemc.NewSpace(degreemc.Params{S: 40, DL: 18, Loss: 0.05})
 	if err != nil {

@@ -101,11 +101,13 @@ func (p Params) sumCap() int {
 	return p.SumCap
 }
 
-// Space is the enumerated state space with index lookup.
+// Space is the enumerated state space. States are listed d-major: the
+// states of one outdegree are contiguous, by indegree, so Index computes a
+// state's position from its degrees.
 type Space struct {
 	par    Params
 	states []State
-	index  map[State]int
+	first  []int // first[(d-dL)/2]: index of the state (d, 0)
 }
 
 // NewSpace enumerates all valid states for par.
@@ -113,13 +115,12 @@ func NewSpace(par Params) (*Space, error) {
 	if err := par.validate(); err != nil {
 		return nil, err
 	}
-	sp := &Space{par: par, index: make(map[State]int)}
+	sp := &Space{par: par}
 	cap := par.sumCap()
 	for d := par.DL; d <= par.S; d += 2 {
+		sp.first = append(sp.first, len(sp.states))
 		for i := 0; d+2*i <= cap; i++ {
-			st := State{Out: d, In: i}
-			sp.index[st] = len(sp.states)
-			sp.states = append(sp.states, st)
+			sp.states = append(sp.states, State{Out: d, In: i})
 		}
 	}
 	if len(sp.states) == 0 {
@@ -136,8 +137,12 @@ func (sp *Space) States() []State { return sp.states }
 
 // Index returns the index of st and whether it exists.
 func (sp *Space) Index(st State) (int, bool) {
-	i, ok := sp.index[st]
-	return i, ok
+	par := sp.par
+	d := st.Out
+	if d < par.DL || d > par.S || (d-par.DL)%2 != 0 || st.In < 0 || st.SumDegree() > par.sumCap() {
+		return 0, false
+	}
+	return sp.first[(d-par.DL)/2] + st.In, true
 }
 
 // Field carries the mean-field quantities derived from the population
@@ -299,7 +304,7 @@ func (sp *Space) BuildChain(f Field) (*markov.Sparse, error) {
 	for k, st := range sp.states {
 		total := 0.0
 		sp.transitions(st, f, func(to State, rate float64, _ Kind) {
-			idx, ok := sp.index[to]
+			idx, ok := sp.Index(to)
 			if !ok {
 				return
 			}

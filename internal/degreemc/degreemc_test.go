@@ -56,11 +56,16 @@ func TestSpaceEnumeration(t *testing.T) {
 			t.Errorf("index roundtrip broken for %+v", st)
 		}
 	}
-	if _, ok := sp.Index(State{Out: 3, In: 0}); ok {
-		t.Error("odd state indexed")
-	}
-	if _, ok := sp.Index(State{Out: 2, In: 99}); ok {
-		t.Error("over-cap state indexed")
+	for _, st := range []State{
+		{Out: 3, In: 0},  // odd
+		{Out: 2, In: 99}, // over the cap
+		{Out: 0, In: 1},  // below dL
+		{Out: 10, In: 0}, // above s
+		{Out: 4, In: -1},
+	} {
+		if _, ok := sp.Index(st); ok {
+			t.Errorf("state %+v outside the space indexed", st)
+		}
 	}
 }
 

@@ -8,55 +8,52 @@ import (
 	"sendforget/internal/markov"
 )
 
-// TestTemplateRewriteMatchesBuildChain checks that rewriting the CSR template
-// for a field produces the same stochastic chain BuildChain constructs from
-// scratch, including on the lossless manifold where many rates vanish.
-func TestTemplateRewriteMatchesBuildChain(t *testing.T) {
-	for _, par := range []Params{
-		{S: 12, DL: 6, Loss: 0},
-		{S: 12, DL: 6, Loss: 0.15},
-		{S: 14, DL: 4, Loss: 0.4},
+// TestSolveStationaryOracle checks Solve's direct inner solve against power
+// iteration, an independent method over an independently built chain: Pi
+// must be stationary for BuildChain at the fixed-point field, both at the
+// lossy fig6.3 point and on the lossless (24, 0) manifold, a closed class
+// of a reducible chain. Power iteration started from Pi must stay within
+// 1e-9 of it, and one step may move it by less than 1e-12 in total
+// variation.
+//
+// Result.Field is derived from Pi, while the last outer round solved the
+// chain of the previous iterate's field; the two differ by up to OuterTol.
+// At the default 1e-9 that leaves a one-step residual of about 2e-11 on the
+// manifold, so the step bound is checked on a solve run to OuterTol 1e-12,
+// and the default solve is held to the outer tolerance instead.
+func TestSolveStationaryOracle(t *testing.T) {
+	for _, tc := range []struct {
+		par  Params
+		opts SolveOptions
+	}{
+		{Params{S: 40, DL: 18, Loss: 0.01}, SolveOptions{}},
+		{Params{S: 24, DL: 0}, SolveOptions{InitOut: 8, InitIn: 8}},
 	} {
-		sp, err := NewSpace(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmpl, err := sp.newChainTemplate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []Field{
-			{PFull: 0.3, Gap: 2.5, PDup: 0.1},
-			{PFull: 0, Gap: 4, PDup: 0},
-			{PFull: 1, Gap: 0.5, PDup: 0.9},
-		} {
-			chain, err := sp.BuildChain(f)
+		for _, outerTol := range []float64{0, 1e-12} {
+			opts := tc.opts
+			opts.OuterTol = outerTol
+			res, err := Solve(tc.par, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tmpl.rewrite(sp, f); err != nil {
+			chain, err := res.Space.BuildChain(res.Field)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := markov.Validate(tmpl.csr); err != nil {
-				t.Fatalf("par %+v field %+v: rewritten template invalid: %v", par, f, err)
+			csr := chain.Finalize()
+			stepBound := 1e-12
+			if outerTol == 0 {
+				stepBound = 1e-9
 			}
-			for k := 0; k < sp.Len(); k++ {
-				want := map[int]float64{}
-				chain.ForEach(k, func(col int, p float64) { want[col] += p })
-				got := map[int]float64{}
-				tmpl.csr.ForEach(k, func(col int, p float64) { got[col] += p })
-				for col, p := range want {
-					q := got[col]
-					if diff := p - q; diff > 1e-12 || diff < -1e-12 {
-						t.Fatalf("par %+v field %+v row %d col %d: template %v chain %v", par, f, k, col, q, p)
-					}
-					delete(got, col)
-				}
-				for col, q := range got {
-					if q > 1e-12 {
-						t.Fatalf("par %+v field %+v row %d: template has extra mass %v at col %d", par, f, k, q, col)
-					}
-				}
+			if tv := markov.TV(res.Pi, markov.Step(csr, res.Pi)); tv >= stepBound {
+				t.Errorf("%+v OuterTol %g: one step moves Pi by TV %v, want < %g", tc.par, outerTol, tv, stepBound)
+			}
+			ref, _, err := markov.Stationary(csr, res.Pi, 1e-13, 400000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tv := markov.TV(res.Pi, ref); tv >= 1e-9 {
+				t.Errorf("%+v OuterTol %g: power iteration from Pi drifts by TV %v", tc.par, outerTol, tv)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func (sp *Space) buildChainScaled(f Field) (*markov.Sparse, float64, error) {
 	for k, st := range sp.states {
 		total := 0.0
 		sp.transitions(st, f, func(to State, rate float64, _ Kind) {
-			idx, ok := sp.index[to]
+			idx, ok := sp.Index(to)
 			if !ok {
 				return
 			}

@@ -29,7 +29,7 @@ var (
 // cache-friendly scan with no per-row slice headers. Build one by finalizing
 // a Sparse. The structure (rowPtr, cols) is immutable; the probabilities may
 // be rewritten in place via Row by builders that re-weight a fixed sparsity
-// pattern (the degree-MC fixed point does this every outer round).
+// pattern.
 type CSR struct {
 	n      int
 	rowPtr []int32

@@ -182,8 +182,8 @@ func TestStationaryCSRParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCSRRowRewrite checks the in-place weight rewrite path the degree-MC
-// solver uses: zero the weights, write new ones, and step correctly.
+// TestCSRRowRewrite checks the in-place weight rewrite path: zero the
+// weights, write new ones, and step correctly.
 func TestCSRRowRewrite(t *testing.T) {
 	s := NewSparse(2)
 	s.Add(0, 0, 0.5)

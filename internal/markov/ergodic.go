@@ -11,97 +11,114 @@ func IsIrreducible(c Chain) bool {
 	if n == 0 {
 		return false
 	}
-	return len(sccs(c)) == 1
+	ptr, adj := digraph(c)
+	var t tarjan
+	succ := func(v int32) []int32 { return adj[ptr[v]:ptr[v+1]] }
+	_, k := t.run(n, succ, func(int) bool { return true })
+	return k == 1
 }
 
-// sccs returns the strongly connected components of the positive-transition
-// graph, using an iterative Tarjan so large degree-MC state spaces cannot
-// overflow the goroutine stack.
-func sccs(c Chain) [][]int {
+// digraph returns c's positive-transition graph in compressed adjacency
+// form: the successors of u are adj[ptr[u]:ptr[u+1]].
+func digraph(c Chain) (ptr, adj []int32) {
 	n := c.N()
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
+	ptr = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		c.ForEach(u, func(v int, _ float64) { adj = append(adj, int32(v)) })
+		ptr[u+1] = int32(len(adj))
 	}
-	var (
-		stack   []int
-		order   = 0
-		result  [][]int
-		adj     = make([][]int, n)
-		adjDone = make([]bool, n)
-	)
-	neighbors := func(u int) []int {
-		if !adjDone[u] {
-			c.ForEach(u, func(v int, _ float64) {
-				adj[u] = append(adj[u], v)
-			})
-			adjDone[u] = true
-		}
-		return adj[u]
-	}
+	return ptr, adj
+}
 
-	type frame struct {
-		v  int
-		ni int // next neighbor index to explore
+// tarjan is an iterative Tarjan SCC search, so large degree-MC state spaces
+// cannot overflow the goroutine stack. Its slices are scratch, grown on
+// demand and reused by later runs.
+type tarjan struct {
+	index, low, comp, stack []int32
+	onStack                 []bool
+	calls                   []tarjanFrame
+}
+
+type tarjanFrame struct {
+	v    int32
+	rest []int32 // successors still to explore
+}
+
+// run labels every vertex of an n-vertex graph reachable from a root with
+// its strongly connected component: comp[v] numbers the components in the
+// order the search completes them, and is -1 for a vertex no root reaches.
+// It returns comp and the number of components.
+func (t *tarjan) run(n int, succ func(v int32) []int32, root func(v int) bool) (comp []int32, ncomp int) {
+	t.index = resize(t.index, n)
+	t.low = resize(t.low, n)
+	t.comp = resize(t.comp, n)
+	t.onStack = resize(t.onStack, n)
+	index, low, onStack := t.index, t.low, t.onStack
+	comp = t.comp
+	for v := range index {
+		index[v] = -1
+		comp[v] = -1
+		onStack[v] = false
 	}
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+	stack, calls := t.stack[:0], t.calls[:0]
+	var order, k int32
+	visit := func(v int32) {
+		index[v], low[v] = order, order
+		order++
+		stack = append(stack, v)
+		onStack[v] = true
+		calls = append(calls, tarjanFrame{v: v, rest: succ(v)})
+	}
+	for r := 0; r < n; r++ {
+		if index[r] >= 0 || !root(r) {
 			continue
 		}
-		callStack := []frame{{v: root}}
-		index[root] = order
-		low[root] = order
-		order++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			ns := neighbors(f.v)
-			if f.ni < len(ns) {
-				w := ns[f.ni]
-				f.ni++
-				if index[w] == unvisited {
-					index[w] = order
-					low[w] = order
-					order++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
+		visit(int32(r))
+		for len(calls) > 0 {
+			f := &calls[len(calls)-1]
+			v := f.v
+			if len(f.rest) > 0 {
+				w := f.rest[0]
+				f.rest = f.rest[1:]
+				if index[w] < 0 {
+					visit(w)
+				} else if onStack[w] && index[w] < low[v] {
+					low[v] = index[w]
 				}
 				continue
 			}
 			// Post-order: pop.
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
+			calls = calls[:len(calls)-1]
+			if len(calls) > 0 {
+				if p := calls[len(calls)-1].v; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, w)
+					comp[w] = k
 					if w == v {
 						break
 					}
 				}
-				result = append(result, comp)
+				k++
 			}
 		}
 	}
-	return result
+	t.stack, t.calls = stack, calls
+	return comp, int(k)
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Period returns the period of an irreducible chain: the gcd of the lengths

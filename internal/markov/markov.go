@@ -1,8 +1,9 @@
 // Package markov provides the finite Markov chain machinery of Section 3.2:
 // transition matrices (dense and sparse), stationary distributions by power
-// iteration, and the ergodicity checks (irreducibility via strongly
-// connected components, aperiodicity via the cycle-length gcd) that the
-// paper's Lemmas 7.1-7.2 establish for the global S&F chain.
+// iteration and by direct GTH state reduction, and the ergodicity checks
+// (irreducibility via strongly connected components, aperiodicity via the
+// cycle-length gcd) that the paper's Lemmas 7.1-7.2 establish for the
+// global S&F chain.
 package markov
 
 import (
@@ -12,6 +13,8 @@ import (
 )
 
 // Chain is a row-stochastic transition structure over states 0..N()-1.
+// GTH.Solve reads only the off-diagonal entries, up to a common factor, so
+// it also accepts the raw rates of a continuous-time chain.
 type Chain interface {
 	// N returns the number of states.
 	N() int
