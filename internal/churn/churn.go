@@ -8,6 +8,7 @@ import (
 
 	"sendforget/internal/engine"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 )
 
 // DecayTrace records the fraction of a departed node's id instances that
@@ -32,7 +33,7 @@ func TrackLeaverDecay(e *engine.Engine, u peer.ID, rounds int) (*DecayTrace, err
 	if err := e.Leave(u); err != nil {
 		return nil, err
 	}
-	initial := e.Snapshot().IDInstances(u)
+	initial, _ := degrees(e.Protocol(), u)
 	trace := &DecayTrace{Initial: initial, Remaining: make([]float64, rounds+1)}
 	if initial == 0 {
 		return trace, nil
@@ -40,9 +41,27 @@ func TrackLeaverDecay(e *engine.Engine, u peer.ID, rounds int) (*DecayTrace, err
 	trace.Remaining[0] = 1
 	for i := 1; i <= rounds; i++ {
 		e.Round()
-		trace.Remaining[i] = float64(e.Snapshot().IDInstances(u)) / float64(initial)
+		in, _ := degrees(e.Protocol(), u)
+		trace.Remaining[i] = float64(in) / float64(initial)
 	}
 	return trace, nil
+}
+
+// degrees returns u's indegree and outdegree in p's membership graph
+// without building a graph snapshot: the indegree counts the entries holding
+// u over every live view, self-entries included, exactly as graph.Indegree
+// (and so graph.IDInstances) counts them. Trackers call it once per round,
+// where a full graph.FromViews snapshot would cost more than the round.
+func degrees(p protocol.Protocol, u peer.ID) (in, out int) {
+	for x := 0; x < p.N(); x++ {
+		if v := p.View(peer.ID(x)); v != nil {
+			in += v.Multiplicity(u)
+		}
+	}
+	if v := p.View(u); v != nil {
+		out = v.Outdegree()
+	}
+	return in, out
 }
 
 // HalfLife returns the first round at which the remaining fraction is at
@@ -81,9 +100,7 @@ func TrackJoinerIntegration(e *engine.Engine, u peer.ID, seeds []peer.ID, rounds
 		Outdegree: make([]int, rounds+1),
 	}
 	record := func(i int) {
-		g := e.Snapshot()
-		trace.Indegree[i] = g.Indegree(u)
-		trace.Outdegree[i] = g.Outdegree(u)
+		trace.Indegree[i], trace.Outdegree[i] = degrees(e.Protocol(), u)
 	}
 	record(0)
 	for i := 1; i <= rounds; i++ {

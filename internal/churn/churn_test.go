@@ -120,3 +120,62 @@ func TestTrackJoinerValidation(t *testing.T) {
 		t.Error("accepted join of active node")
 	}
 }
+
+// TestTrackersMatchSnapshot keeps the graph snapshot the reference for the
+// trackers' snapshot-free counts: a twin engine (same seed, same churn) is
+// stepped round by round and its graph.FromViews counts must equal every
+// traced value. The joiner seeds itself, so self-entries are in the count.
+func TestTrackersMatchSnapshot(t *testing.T) {
+	const u, rounds = 7, 40
+	e, twin := steadyEngine(t, 60, 0.05, 6), steadyEngine(t, 60, 0.05, 6)
+	decay, err := TrackLeaverDecay(e, u, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Leave(u); err != nil {
+		t.Fatal(err)
+	}
+	if got := twin.Snapshot().IDInstances(u); decay.Initial != got {
+		t.Fatalf("leaver initial instances = %d, snapshot has %d", decay.Initial, got)
+	}
+	for i := 1; i <= rounds; i++ {
+		twin.Round()
+		want := float64(twin.Snapshot().IDInstances(u)) / float64(decay.Initial)
+		if decay.Remaining[i] != want {
+			t.Fatalf("round %d: leaver remaining %v, snapshot gives %v", i, decay.Remaining[i], want)
+		}
+	}
+
+	seeds := []peer.ID{u, 0, 1, 2, 3, 4}
+	left, _ := degrees(e.Protocol(), u)
+	join, err := TrackJoinerIntegration(e, u, seeds, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Join(u, seeds); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= rounds; i++ {
+		if i > 0 {
+			twin.Round()
+		}
+		g := twin.Snapshot()
+		if join.Indegree[i] != g.Indegree(u) || join.Outdegree[i] != g.Outdegree(u) {
+			t.Fatalf("round %d: joiner degrees (%d in, %d out), snapshot (%d in, %d out)",
+				i, join.Indegree[i], join.Outdegree[i], g.Indegree(u), g.Outdegree(u))
+		}
+	}
+	if join.Indegree[0] != left+1 {
+		t.Errorf("joiner seeded with itself has indegree %d at join, want %d (one self-entry more than before)", join.Indegree[0], left+1)
+	}
+}
+
+// TestDegreesAllocFree: the per-round instance count must not allocate — it
+// replaced a graph snapshot per round.
+func TestDegreesAllocFree(t *testing.T) {
+	e := steadyEngine(t, 60, 0.01, 7)
+	p := e.Protocol()
+	if avg := testing.AllocsPerRun(100, func() { degrees(p, 7) }); avg != 0 {
+		t.Errorf("degrees allocates %.1f times per call, want 0", avg)
+	}
+}

@@ -61,8 +61,10 @@ type Engine struct {
 	r      *rng.RNG
 	router *driver.Router
 	active []peer.ID // scheduling pool
-	idx    map[peer.ID]int
-	steps  int
+	// pos[u] is u's position in active, -1 when u is not schedulable.
+	// Protocols number their nodes 0..N-1, so the index is a dense slice.
+	pos   []int32
+	steps int
 
 	// OnStep, when non-nil, runs after every step with the step index.
 	// Metrics collectors hook here.
@@ -116,11 +118,14 @@ func build(proto protocol.Protocol, lm loss.Model, cond *faults.Conditions, r *r
 	if proto == nil || r == nil {
 		return nil, fmt.Errorf("engine: nil dependency")
 	}
-	e := &Engine{proto: proto, cond: cond, r: r, idx: make(map[peer.ID]int)}
+	e := &Engine{proto: proto, cond: cond, r: r, pos: make([]int32, proto.N())}
+	for u := range e.pos {
+		e.pos[u] = -1
+	}
 	// The router shares the engine's RNG: protocol draws and fault decisions
 	// interleave on one stream, preserving the engine's historical draw
 	// sequence (seed-calibrated tests depend on it).
-	live := func(id peer.ID) bool { _, ok := e.idx[id]; return ok }
+	live := func(id peer.ID) bool { return e.position(id) >= 0 }
 	if cond != nil {
 		e.router = driver.NewRouter(cond, r, live)
 	} else {
@@ -315,22 +320,31 @@ func (e *Engine) Leave(u peer.ID) error {
 	return nil
 }
 
+// position returns u's index in the scheduling pool, or -1 when u is not
+// schedulable (departed, never joined, or not a node id at all).
+func (e *Engine) position(u peer.ID) int {
+	if u < 0 || int(u) >= len(e.pos) {
+		return -1
+	}
+	return int(e.pos[u])
+}
+
 func (e *Engine) addActive(u peer.ID) {
-	if _, ok := e.idx[u]; ok {
+	if e.position(u) >= 0 {
 		return
 	}
-	e.idx[u] = len(e.active)
+	e.pos[u] = int32(len(e.active))
 	e.active = append(e.active, u)
 }
 
 func (e *Engine) removeActive(u peer.ID) {
-	i, ok := e.idx[u]
-	if !ok {
+	i := e.position(u)
+	if i < 0 {
 		return
 	}
 	last := len(e.active) - 1
 	e.active[i] = e.active[last]
-	e.idx[e.active[i]] = i
+	e.pos[e.active[i]] = int32(i)
 	e.active = e.active[:last]
-	delete(e.idx, u)
+	e.pos[u] = -1
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"sendforget/internal/loss"
@@ -320,5 +321,32 @@ func TestOnActionEvents(t *testing.T) {
 	}
 	if selfLoops == 0 || lost == 0 || delivered == 0 {
 		t.Errorf("expected a mix of outcomes: self=%d lost=%d delivered=%d", selfLoops, lost, delivered)
+	}
+}
+
+// TestStepAllocationsPerStep counts heap allocations over many S&F steps
+// exactly. BenchmarkEngineStep cannot guard this: -benchmem rounds
+// allocs/op down, so a fractional rate per step reads as zero there. The
+// remaining allocations are the scalar initiate's message buffers, made
+// only when a step sends.
+func TestStepAllocationsPerStep(t *testing.T) {
+	p, err := sendforget.New(sendforget.Config{N: 1000, S: 40, DL: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(p, loss.MustUniform(0.01), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(5)
+	const steps = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		e.Step()
+	}
+	runtime.ReadMemStats(&after)
+	if perStep := float64(after.Mallocs-before.Mallocs) / steps; perStep >= 1 {
+		t.Errorf("engine step allocates %.3f times per step, want fewer than 1", perStep)
 	}
 }

@@ -89,28 +89,33 @@ func Fig64(p Fig64Params) (*Report, error) {
 		measured []float64
 	}
 	var curves []curve
-	for li, l := range p.LossRates {
+	for _, l := range p.LossRates {
 		bound, err := analysis.SurvivalBound(l, p.Delta, p.DL, p.S, p.Rounds)
 		if err != nil {
 			return nil, err
 		}
-		measured := make([]float64, p.Rounds+1)
-		for leaver := 0; leaver < p.Leavers; leaver++ {
-			e, _, err := newSFEngine(p.N, p.S, p.DL, 0, l, 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
-			if err != nil {
-				return nil, err
-			}
-			trace, err := churn.TrackLeaverDecay(e, peer.ID(leaver), p.Rounds)
-			if err != nil {
-				return nil, err
-			}
-			for i := range measured {
-				measured[i] += trace.Remaining[i] / float64(p.Leavers)
-			}
-		}
-		curves = append(curves, curve{bound: bound, measured: measured})
+		curves = append(curves, curve{bound: bound, measured: make([]float64, p.Rounds+1)})
 		t.Columns = append(t.Columns,
 			fmt.Sprintf("bound l=%.2f", l), fmt.Sprintf("sim l=%.2f", l))
+	}
+	// One independent run per (loss rate, leaver), seeded by its indices.
+	traces, err := Sweep(len(p.LossRates)*p.Leavers, sweepWorkers, func(k int) (*churn.DecayTrace, error) {
+		li, leaver := k/p.Leavers, k%p.Leavers
+		e, _, err := newSFEngine(p.N, p.S, p.DL, 0, p.LossRates[li], 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
+		if err != nil {
+			return nil, err
+		}
+		return churn.TrackLeaverDecay(e, peer.ID(leaver), p.Rounds)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Average in leaver order, so the float sums do not depend on the pool.
+	for k, trace := range traces {
+		measured := curves[k/p.Leavers].measured
+		for i := range measured {
+			measured[i] += trace.Remaining[i] / float64(p.Leavers)
+		}
 	}
 	for round := 0; round <= p.Rounds; round += p.Checkpoint {
 		row := []string{d(round)}
@@ -174,15 +179,19 @@ func Cor614(p Cor614Params) (*Report, error) {
 			p.N, p.S, p.DL, p.Loss, p.Joiners, rounds),
 	}
 	t := Table{Columns: []string{"joiner", "Din (steady)", "bound Din/4", "indegree @2s rounds", "outdegree @2s rounds"}}
-	met := 0
-	for j := 0; j < p.Joiners; j++ {
+	type joiner struct {
+		din   float64
+		trace *churn.JoinTrace
+	}
+	// One independent run per joiner, seeded by its index.
+	joiners, err := Sweep(p.Joiners, sweepWorkers, func(j int) (joiner, error) {
 		e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 60, rng.DeriveSeed(p.Seed, int64(j)), false)
 		if err != nil {
-			return nil, err
+			return joiner{}, err
 		}
 		u := peer.ID(j)
 		if err := e.Leave(u); err != nil {
-			return nil, err
+			return joiner{}, err
 		}
 		e.Run(200) // flush the id completely
 		din := metrics.Degrees(e.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
@@ -193,15 +202,19 @@ func Cor614(p Cor614Params) (*Report, error) {
 			seeds = seeds[:p.DL]
 		}
 		trace, err := churn.TrackJoinerIntegration(e, u, seeds, rounds)
-		if err != nil {
-			return nil, err
-		}
-		bound := din / 4
-		got := trace.Indegree[rounds]
+		return joiner{din: din, trace: trace}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	met := 0
+	for j, jr := range joiners {
+		bound := jr.din / 4
+		got := jr.trace.Indegree[rounds]
 		if float64(got) >= bound {
 			met++
 		}
-		t.AddRow(d(j), f2(din), f2(bound), d(got), d(trace.Outdegree[rounds]))
+		t.AddRow(d(j), f2(jr.din), f2(bound), d(got), d(jr.trace.Outdegree[rounds]))
 	}
 	r.Tables = append(r.Tables, t)
 

@@ -116,3 +116,45 @@ func TestFig61StrideOne(t *testing.T) {
 		t.Fatalf("indegree table has %d rows for s=12, want at most 13", len(inT.Rows))
 	}
 }
+
+// TestFig64ParallelDeterministic: the (loss rate, leaver) runs fan out over
+// the sweep pool, and the decay curves must average to the same bytes
+// however many workers ran them.
+func TestFig64ParallelDeterministic(t *testing.T) {
+	params := Fig64Params{
+		N: 80, S: 12, DL: 4, LossRates: []float64{0, 0.05},
+		Rounds: 60, Leavers: 3, Checkpoint: 10, Seed: 5,
+	}
+	render := func() string {
+		r, err := Fig64(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.String()
+	}
+	var seq, par string
+	withSweepWorkers(t, 1, func() { seq = render() })
+	withSweepWorkers(t, 4, func() { par = render() })
+	if seq != par {
+		t.Fatalf("fig6.4 report differs between 1 and 4 sweep workers:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)
+	}
+}
+
+// TestCor614ParallelDeterministic: the joiner runs fan out over the sweep
+// pool; the table rows must come back in joiner order with the same bytes.
+func TestCor614ParallelDeterministic(t *testing.T) {
+	params := Cor614Params{N: 100, S: 12, DL: 6, Joiners: 3, Seed: 7}
+	render := func() string {
+		r, err := Cor614(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.String()
+	}
+	var seq, par string
+	withSweepWorkers(t, 1, func() { seq = render() })
+	withSweepWorkers(t, 4, func() { par = render() })
+	if seq != par {
+		t.Fatalf("cor6.14 report differs between 1 and 4 sweep workers:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)
+	}
+}

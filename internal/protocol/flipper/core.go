@@ -114,12 +114,12 @@ func (c *Core) Receive(lv *view.View, u peer.ID, msg protocol.Message, r *rng.RN
 // store places id into a uniformly chosen empty slot, dropping it (counted)
 // when the view is full.
 func (c *Core) store(lv *view.View, id peer.ID, r *rng.RNG) {
-	slots, ok := lv.RandomEmptySlots(r, 1)
+	slot, ok := lv.RandomEmptySlot(r)
 	if !ok {
 		c.counters.Dropped++
 		return
 	}
-	lv.Set(slots[0], id)
+	lv.Set(slot, id)
 }
 
 // CheckView verifies internal view consistency; the flipper keeps no parity

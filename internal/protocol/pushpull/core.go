@@ -77,8 +77,8 @@ func (c *Core) Receive(lv *view.View, u peer.ID, msg protocol.Message, r *rng.RN
 		return protocol.Outgoing{}, false
 	}
 	for _, id := range msg.IDs {
-		if slots, ok := lv.RandomEmptySlots(r, 1); ok {
-			lv.Set(slots[0], id)
+		if slot, ok := lv.RandomEmptySlot(r); ok {
+			lv.Set(slot, id)
 			continue
 		}
 		// Full view: overwrite a uniformly random entry.

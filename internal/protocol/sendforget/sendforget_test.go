@@ -9,6 +9,7 @@ import (
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/view"
 )
 
 func mustNew(t *testing.T, cfg Config) *Protocol {
@@ -190,6 +191,28 @@ func TestDeliverFillsEmptySlots(t *testing.T) {
 	}
 	if !lv.Contains(5) || !lv.Contains(7) {
 		t.Errorf("view %v missing delivered ids", lv)
+	}
+}
+
+// TestReceiveStepAllocFree: the scalar receive draws its two empty slots
+// without allocating, whether it stores the ids or deletes them.
+func TestReceiveStepAllocFree(t *testing.T) {
+	for _, s := range []int{40, 90} { // occupancy mask and slot scan
+		lv := view.New(s)
+		for i := 0; i < s/2; i++ {
+			lv.Set(2*i, peer.ID(i))
+		}
+		r := rng.New(6)
+		ids := [2]peer.ID{5, 7}
+		avg := testing.AllocsPerRun(200, func() {
+			if slots, stored := ReceiveStep(lv, s, ids, r); stored {
+				lv.Clear(slots[0])
+				lv.Clear(slots[1])
+			}
+		})
+		if avg != 0 {
+			t.Errorf("s=%d: ReceiveStep allocates %.1f times per call, want 0", s, avg)
+		}
 	}
 }
 

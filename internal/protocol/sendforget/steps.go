@@ -40,17 +40,18 @@ func InitiateStep(lv *view.View, u peer.ID, dl int, r *rng.RNG) (send Send, slot
 // ReceiveStep runs S&F-Receive over view lv with view size bound s. It
 // returns stored = false when the view was full and the ids were deleted.
 // slots reports where the ids were stored, for dependence tracking.
+//
+//vet:hotpath
 func ReceiveStep(lv *view.View, s int, ids [2]peer.ID, r *rng.RNG) (slots [2]int, stored bool) {
 	if lv.Outdegree() >= s {
 		return [2]int{}, false
 	}
-	empties, ok := lv.RandomEmptySlots(r, 2)
+	a, b, ok := lv.ChooseEmptyPair(r)
 	if !ok {
 		// Outdegree below s with even parity guarantees two empty slots;
 		// reaching here means the view invariant was violated externally.
 		return [2]int{}, false
 	}
-	lv.Set(empties[0], ids[0])
-	lv.Set(empties[1], ids[1])
-	return [2]int{empties[0], empties[1]}, true
+	lv.FillEmptyPair(a, b, ids[0], ids[1])
+	return [2]int{a, b}, true
 }

@@ -115,8 +115,8 @@ func (c *Core) Initiate(lv *view.View, u peer.ID, r *rng.RNG) ([]protocol.Outgoi
 		}
 		for i := 0; i < k; i++ {
 			id := c.exhume()
-			if empties, ok := lv.RandomEmptySlots(r, 1); ok {
-				lv.Set(empties[0], id)
+			if slot, ok := lv.RandomEmptySlot(r); ok {
+				lv.Set(slot, id)
 			}
 		}
 		c.counters.Undeletions++
@@ -146,8 +146,8 @@ func (c *Core) Receive(lv *view.View, u peer.ID, msg protocol.Message, r *rng.RN
 	}
 	c.counters.Receives++
 	for _, id := range msg.IDs {
-		if empties, ok := lv.RandomEmptySlots(r, 1); ok {
-			lv.Set(empties[0], id)
+		if slot, ok := lv.RandomEmptySlot(r); ok {
+			lv.Set(slot, id)
 			c.counters.Stored++
 			continue
 		}

@@ -111,12 +111,12 @@ func (c *Core) Receive(lv *view.View, u peer.ID, msg protocol.Message, r *rng.RN
 // not fit (counted).
 func (c *Core) store(lv *view.View, ids []peer.ID, r *rng.RNG) {
 	for _, id := range ids {
-		slots, ok := lv.RandomEmptySlots(r, 1)
+		slot, ok := lv.RandomEmptySlot(r)
 		if !ok {
 			c.counters.Dropped++
 			continue
 		}
-		lv.Set(slots[0], id)
+		lv.Set(slot, id)
 	}
 }
 

@@ -16,6 +16,18 @@ import (
 // view, single occupied/empty slot — and across the bitmask (s <= 64) and
 // scan (s > 64) implementations.
 
+// emptySlots returns the indices of v's empty slots in ascending order — the
+// list the scalar reference draws index with rng.Choose.
+func emptySlots(v *View) []int {
+	var out []int
+	for i := 0; i < v.Size(); i++ {
+		if v.Slot(i) == peer.Nil {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // occupancyCases builds views covering the edge occupancies for one size.
 func occupancyCases(s int) map[string]*View {
 	cases := map[string]*View{
@@ -76,7 +88,7 @@ func TestClearOccupiedPairMatchesSequentialClears(t *testing.T) {
 func TestFillEmptyPairMatchesSequentialSets(t *testing.T) {
 	for _, s := range fusedSizes {
 		for name, base := range occupancyCases(s) {
-			empty := base.EmptySlots()
+			empty := emptySlots(base)
 			for _, a := range empty {
 				for _, b := range empty {
 					if a == b {
@@ -140,7 +152,7 @@ func TestRandomPairFastMatchesRandomPairDistribution(t *testing.T) {
 
 // TestRandomEmptyPairMatchesScalarDistribution: the fused empty-pair draw
 // must hit exactly the ordered distinct empty pairs, uniformly — the same
-// support and distribution as RandomEmptySlots(r, 2).
+// support and distribution as rng.Choose(e, 2) over the empty slots.
 func TestRandomEmptyPairMatchesScalarDistribution(t *testing.T) {
 	const trials = 120000
 	for _, s := range []int{8, 70} {
@@ -150,51 +162,45 @@ func TestRandomEmptyPairMatchesScalarDistribution(t *testing.T) {
 				continue // keep the cell count small enough to sample
 			}
 			cells := e * (e - 1)
+			empty := emptySlots(base)
 			scalar := map[[2]int]int{}
 			fused := map[[2]int]int{}
 			r1, r2 := rng.New(31), rng.New(41)
 			for n := 0; n < trials; n++ {
-				slots, ok := base.RandomEmptySlots(r1, 2)
-				if !ok {
-					t.Fatalf("s=%d %s: RandomEmptySlots failed with %d empties", s, name, e)
-				}
-				scalar[[2]int{slots[0], slots[1]}]++
+				pick := r1.Choose(e, 2)
+				scalar[[2]int{empty[pick[0]], empty[pick[1]]}]++
 				a, b, ok := base.RandomEmptyPair(r2)
 				if !ok {
 					t.Fatalf("s=%d %s: RandomEmptyPair failed with %d empties", s, name, e)
 				}
 				fused[[2]int{a, b}]++
 			}
-			checkUniform(t, "RandomEmptySlots(2)", scalar, cells, trials)
+			checkUniform(t, "Choose over empty", scalar, cells, trials)
 			checkUniform(t, "RandomEmptyPair", fused, cells, trials)
 		}
 	}
 }
 
 // TestRandomSingleSlotSelectors covers the k=1 forms: RandomEmptySlot vs
-// RandomEmptySlots(r, 1) and RandomOccupiedSlot vs indexing OccupiedSlots,
-// on the same support with the same uniform law.
+// rng.Choose(e, 1) over the empty slots and RandomOccupiedSlot vs indexing
+// OccupiedSlots, on the same support with the same uniform law.
 func TestRandomSingleSlotSelectors(t *testing.T) {
 	const trials = 60000
 	for _, s := range []int{8, 70} {
 		for name, base := range occupancyCases(s) {
-			empty, occ := base.EmptySlots(), base.OccupiedSlots()
+			empty, occ := emptySlots(base), base.OccupiedSlots()
 			r1, r2 := rng.New(7), rng.New(11)
 			if len(empty) > 0 && len(empty) <= 6 {
 				scalar, fused := map[[2]int]int{}, map[[2]int]int{}
 				for n := 0; n < trials; n++ {
-					slots, ok := base.RandomEmptySlots(r1, 1)
-					if !ok {
-						t.Fatalf("s=%d %s: RandomEmptySlots(1) failed", s, name)
-					}
-					scalar[[2]int{slots[0]}]++
+					scalar[[2]int{empty[r1.Choose(len(empty), 1)[0]]}]++
 					i, ok := base.RandomEmptySlot(r2)
 					if !ok {
 						t.Fatalf("s=%d %s: RandomEmptySlot failed", s, name)
 					}
 					fused[[2]int{i}]++
 				}
-				checkUniform(t, "RandomEmptySlots(1)", scalar, len(empty), trials)
+				checkUniform(t, "Choose over empty", scalar, len(empty), trials)
 				checkUniform(t, "RandomEmptySlot", fused, len(empty), trials)
 			}
 			if len(occ) > 0 && len(occ) <= 6 {
@@ -245,7 +251,7 @@ func TestRandomOccupiedPairMatchesChooseDistribution(t *testing.T) {
 
 // TestReplaceRandomOccupiedMatchesScalarSequence: the fused pointer flip
 // must induce the same distribution over (detached id, resulting view) as
-// the scalar OccupiedSlots / Clear / RandomEmptySlots / Set sequence
+// the scalar OccupiedSlots / Clear / RandomEmptySlot / Set sequence
 // flipper's classic receive step performs.
 func TestReplaceRandomOccupiedMatchesScalarSequence(t *testing.T) {
 	const trials = 120000
@@ -262,11 +268,11 @@ func TestReplaceRandomOccupiedMatchesScalarSequence(t *testing.T) {
 		slot := occ[r1.Intn(len(occ))]
 		z := v.Slot(slot)
 		v.Clear(slot)
-		stores, ok := v.RandomEmptySlots(r1, 1)
+		store, ok := v.RandomEmptySlot(r1)
 		if !ok {
 			t.Fatal("scalar store failed")
 		}
-		v.Set(stores[0], w)
+		v.Set(store, w)
 		scalar[z.String()+"|"+v.String()]++
 
 		v = base.Clone()
@@ -322,6 +328,9 @@ func TestFusedSelectorsEdgeOccupancy(t *testing.T) {
 		if _, _, ok := full.RandomEmptyPair(r); ok {
 			t.Errorf("s=%d: RandomEmptyPair succeeded on a full view", s)
 		}
+		if _, _, ok := full.ChooseEmptyPair(r); ok {
+			t.Errorf("s=%d: ChooseEmptyPair succeeded on a full view", s)
+		}
 
 		single := New(s)
 		single.Set(0, peer.ID(5))
@@ -336,6 +345,72 @@ func TestFusedSelectorsEdgeOccupancy(t *testing.T) {
 		}
 		if single.Outdegree() != 1 || !single.Contains(peer.ID(6)) || single.Contains(peer.ID(5)) {
 			t.Errorf("s=%d: ReplaceRandomOccupied left wrong state %v", s, single)
+		}
+	}
+}
+
+// randomOccupancy returns a view of size s with exactly e empty slots at
+// uniformly random positions.
+func randomOccupancy(s, e int, r *rng.RNG) *View {
+	v := New(s)
+	for k, i := range r.Perm(s) {
+		if k >= e {
+			v.Set(i, peer.ID(k))
+		}
+	}
+	return v
+}
+
+// TestEmptySelectorsMatchChooseStream pins the scalar cores' seeded streams:
+// RandomEmptySlot and ChooseEmptyPair must return exactly
+// empty[Choose(e, k)[i]] for the ascending empty slots, and leave the RNG
+// where Choose leaves it (the next Uint64 agrees). The sizes cover the
+// occupancy mask (s <= 64) and the slot scan (s > 64); e = 1 and e = 2 are
+// the edge cases where one selector still draws and the other no longer can.
+func TestEmptySelectorsMatchChooseStream(t *testing.T) {
+	occ := rng.New(99)
+	for _, s := range []int{6, 40, 64, 90, 130} {
+		for trial := 0; trial < 300; trial++ {
+			var e int
+			switch trial {
+			case 0, 1, 2:
+				e = trial // the empty counts where a selector fails or just succeeds
+			default:
+				e = occ.Intn(s + 1)
+			}
+			v := randomOccupancy(s, e, occ)
+			empty := emptySlots(v)
+			seed := int64(s*1000 + trial)
+
+			ref, got := rng.New(seed), rng.New(seed)
+			slot, ok := v.RandomEmptySlot(got)
+			if ok != (e >= 1) {
+				t.Fatalf("s=%d e=%d: RandomEmptySlot ok = %v", s, e, ok)
+			}
+			if ok {
+				if want := empty[ref.Choose(e, 1)[0]]; slot != want {
+					t.Fatalf("s=%d e=%d: RandomEmptySlot = %d, Choose picks %d", s, e, slot, want)
+				}
+			}
+			if ref.Uint64() != got.Uint64() {
+				t.Fatalf("s=%d e=%d: RandomEmptySlot left the RNG off the Choose stream", s, e)
+			}
+
+			ref, got = rng.New(seed), rng.New(seed)
+			a, b, ok := v.ChooseEmptyPair(got)
+			if ok != (e >= 2) {
+				t.Fatalf("s=%d e=%d: ChooseEmptyPair ok = %v", s, e, ok)
+			}
+			if ok {
+				pick := ref.Choose(e, 2)
+				if a != empty[pick[0]] || b != empty[pick[1]] {
+					t.Fatalf("s=%d e=%d: ChooseEmptyPair = (%d, %d), Choose picks (%d, %d)",
+						s, e, a, b, empty[pick[0]], empty[pick[1]])
+				}
+			}
+			if ref.Uint64() != got.Uint64() {
+				t.Fatalf("s=%d e=%d: ChooseEmptyPair left the RNG off the Choose stream", s, e)
+			}
 		}
 	}
 }

@@ -107,22 +107,6 @@ func (v *View) RandomPair(r *rng.RNG) (i, j int) {
 	return r.Pair(len(v.slots))
 }
 
-// RandomEmptySlots returns k distinct uniformly chosen empty slot indices —
-// the receive step of Figure 5.1 (lines 3-4) uses k = 2. It returns false if
-// fewer than k slots are empty.
-func (v *View) RandomEmptySlots(r *rng.RNG, k int) ([]int, bool) {
-	empty := v.EmptySlots()
-	if len(empty) < k {
-		return nil, false
-	}
-	pick := r.Choose(len(empty), k)
-	out := make([]int, k)
-	for idx, p := range pick {
-		out[idx] = empty[p]
-	}
-	return out, true
-}
-
 // RandomPairFast is RandomPair through rng.FastPair: one 64-bit draw
 // instead of two, with the (documented, negligible) lane bias and a
 // different draw mapping. Batch step cores use it; the classic cores keep
@@ -133,25 +117,54 @@ func (v *View) RandomPairFast(r *rng.RNG) (i, j int) {
 	return r.FastPair(len(v.slots))
 }
 
-// RandomEmptyPair returns an ordered pair of distinct uniformly chosen empty
-// slot indices without allocating — the hot-path form of
-// RandomEmptySlots(r, 2) used by the sharded cluster's batched receive path.
-// The pair distribution matches RandomEmptySlots' (uniform over ordered
-// distinct empty slots up to rng.FastPair's negligible lane bias), but the
-// RNG draw mapping differs, so the two forms are not stream-compatible under
-// a shared seed. It returns ok = false when fewer than two slots are empty.
+// ChooseEmptyPair returns an ordered pair of distinct uniformly chosen empty
+// slot indices without allocating — the receive step of Figure 5.1 (lines
+// 3-4) as the scalar cores run it. It is stream-exact with the partial
+// Fisher-Yates rng.Choose(e, 2) over the ascending empty slots: Choose swaps
+// position x := Intn(e) to the front, then takes position y := 1 + Intn(e-1)
+// of the swapped permutation, which holds 0 when y == x. The same two draws
+// pick the same slots here, so a seed yields the same run through either
+// form. It returns ok = false, drawing nothing, when fewer than two slots
+// are empty.
 //
 //vet:hotpath
-func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
-	s := len(v.slots)
-	e := s - v.out
+func (v *View) ChooseEmptyPair(r *rng.RNG) (a, b int, ok bool) {
+	e := len(v.slots) - v.out
 	if e < 2 {
 		return 0, 0, false
 	}
-	// Draw ordinal positions among the empty slots (ordered distinct pair),
-	// then locate both.
+	x := r.Intn(e)
+	y := 1 + r.Intn(e-1)
+	if y == x {
+		y = 0
+	}
+	a, b = v.emptyPair(x, y)
+	return a, b, true
+}
+
+// RandomEmptyPair is ChooseEmptyPair through rng.FastPair — the sharded
+// cluster's batched receive path. The pair distribution is the same (uniform
+// over ordered distinct empty slots up to rng.FastPair's negligible lane
+// bias), but one 64-bit draw replaces two Intn draws, so the two forms are
+// not stream-compatible under a shared seed. It returns ok = false when fewer
+// than two slots are empty.
+//
+//vet:hotpath
+func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
+	e := len(v.slots) - v.out
+	if e < 2 {
+		return 0, 0, false
+	}
 	x, y := r.FastPair(e)
-	if s <= 64 {
+	a, b = v.emptyPair(x, y)
+	return a, b, true
+}
+
+// emptyPair returns the slot indices of the x-th and y-th empty slots
+// (ordinals counted from 0 in ascending slot order). The caller guarantees
+// both ordinals are below the number of empty slots.
+func (v *View) emptyPair(x, y int) (a, b int) {
+	if s := len(v.slots); s <= 64 {
 		// The occupancy mask covers the whole view: select the x-th and
 		// y-th zero bits instead of scanning slots.
 		mask := ^uint64(0)
@@ -159,7 +172,7 @@ func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
 			mask = 1<<uint(s) - 1
 		}
 		zeros := ^v.occ & mask
-		return nthSetBit(zeros, x), nthSetBit(zeros, y), true
+		return nthSetBit(zeros, x), nthSetBit(zeros, y)
 	}
 	a, b = -1, -1
 	k := 0
@@ -178,7 +191,7 @@ func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
 			break
 		}
 	}
-	return a, b, true
+	return a, b
 }
 
 // FillEmptyPair stores two non-Nil ids at the distinct empty slots a and b —
@@ -227,11 +240,11 @@ func (v *View) ClearOccupiedPair(i, j int) {
 }
 
 // RandomEmptySlot returns one uniformly chosen empty slot index without
-// allocating — the hot-path form of RandomEmptySlots(r, 1) used by batch
-// receive steps that store ids one at a time. The slot distribution matches
-// RandomEmptySlots', but the RNG draw mapping differs (one Intn draw instead
-// of a Choose permutation step), so the two forms are not stream-compatible
-// under a shared seed. It returns ok = false when the view is full.
+// allocating — the receive steps that store ids one at a time use it, scalar
+// and batch cores alike. Its single Intn(e) draw is exactly the draw
+// rng.Choose(e, 1) makes, so it picks the same slot as indexing the
+// ascending empty slots with Choose under a shared seed. It returns
+// ok = false, drawing nothing, when the view is full.
 //
 //vet:hotpath
 func (v *View) RandomEmptySlot(r *rng.RNG) (int, bool) {
@@ -332,7 +345,7 @@ func (v *View) RandomOccupiedPair(r *rng.RNG) (a, b int, ok bool) {
 // chosen empty slot of the resulting view (which always has at least the
 // just-cleared slot empty). It returns the detached id and ok = true, or
 // ok = false when the view is empty and nothing was replaced. The slot
-// distribution matches the scalar OccupiedSlots/Clear/RandomEmptySlots
+// distribution matches the scalar OccupiedSlots/Clear/RandomEmptySlot
 // sequence; only the RNG draw mapping differs.
 //
 //vet:hotpath
@@ -356,17 +369,6 @@ func nthSetBit(m uint64, k int) int {
 		m &= m - 1
 	}
 	return bits.TrailingZeros64(m)
-}
-
-// EmptySlots returns the indices of all empty slots in ascending order.
-func (v *View) EmptySlots() []int {
-	out := make([]int, 0, len(v.slots)-v.out)
-	for i, id := range v.slots {
-		if id == peer.Nil {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // OccupiedSlots returns the indices of all non-empty slots in ascending

@@ -76,15 +76,15 @@ func TestEmptyAndOccupiedSlots(t *testing.T) {
 	v := New(5)
 	v.Set(1, 7)
 	v.Set(3, 8)
-	gotEmpty := v.EmptySlots()
-	wantEmpty := []int{0, 2, 4}
-	if len(gotEmpty) != len(wantEmpty) {
-		t.Fatalf("EmptySlots = %v, want %v", gotEmpty, wantEmpty)
+	// The empty slots are what the empty-slot selector can reach.
+	hit := map[int]bool{}
+	r := rng.New(5)
+	for k := 0; k < 200; k++ {
+		slot, _ := v.RandomEmptySlot(r)
+		hit[slot] = true
 	}
-	for i := range wantEmpty {
-		if gotEmpty[i] != wantEmpty[i] {
-			t.Fatalf("EmptySlots = %v, want %v", gotEmpty, wantEmpty)
-		}
+	if len(hit) != 3 || !hit[0] || !hit[2] || !hit[4] {
+		t.Fatalf("RandomEmptySlot reached %v, want the empty slots 0, 2 and 4", hit)
 	}
 	gotOcc := v.OccupiedSlots()
 	wantOcc := []int{1, 3}
@@ -147,27 +147,21 @@ func TestRandomEmptySlots(t *testing.T) {
 	v.Set(3, 4)
 	r := rng.New(2)
 	for k := 0; k < 200; k++ {
-		slots, ok := v.RandomEmptySlots(r, 2)
+		a, b, ok := v.ChooseEmptyPair(r)
 		if !ok {
-			t.Fatal("RandomEmptySlots reported insufficient space with 2 empties")
+			t.Fatal("ChooseEmptyPair reported insufficient space with 2 empties")
 		}
-		if len(slots) != 2 || slots[0] == slots[1] {
-			t.Fatalf("RandomEmptySlots = %v invalid", slots)
-		}
-		for _, s := range slots {
-			if s != 4 && s != 5 {
-				t.Fatalf("RandomEmptySlots chose occupied slot %d", s)
-			}
+		if a == b || (a != 4 && a != 5) || (b != 4 && b != 5) {
+			t.Fatalf("ChooseEmptyPair = (%d, %d), want the empty slots 4 and 5", a, b)
 		}
 	}
 	v.Set(4, 5)
-	if _, ok := v.RandomEmptySlots(r, 2); ok {
-		t.Error("RandomEmptySlots succeeded with only one empty slot")
+	if _, _, ok := v.ChooseEmptyPair(r); ok {
+		t.Error("ChooseEmptyPair succeeded with only one empty slot")
 	}
-	// k = 1 should still work with one empty slot.
-	slots, ok := v.RandomEmptySlots(r, 1)
-	if !ok || len(slots) != 1 || slots[0] != 5 {
-		t.Errorf("RandomEmptySlots(_, 1) = %v, %v; want [5], true", slots, ok)
+	// A single slot should still be found with one empty slot.
+	if slot, ok := v.RandomEmptySlot(r); !ok || slot != 5 {
+		t.Errorf("RandomEmptySlot = %d, %v; want 5, true", slot, ok)
 	}
 }
 
@@ -227,7 +221,7 @@ func TestQuickIDsLengthIsOutdegree(t *testing.T) {
 			v.Set(int(op%10), peer.ID(op%7))
 		}
 		return len(v.IDs()) == v.Outdegree() &&
-			len(v.EmptySlots())+v.Outdegree() == v.Size()
+			len(v.OccupiedSlots()) == v.Outdegree()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
