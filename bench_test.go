@@ -14,6 +14,7 @@ import (
 	"sendforget/internal/degreemc"
 	"sendforget/internal/engine"
 	"sendforget/internal/experiments"
+	"sendforget/internal/faults"
 	"sendforget/internal/globalmc"
 	"sendforget/internal/loss"
 	"sendforget/internal/markov"
@@ -283,10 +284,13 @@ func BenchmarkRuntimeTick(b *testing.B) {
 //   - sharded/<proto>: the same engine under each of the other batch-core
 //     protocols at 10k and 100k, the per-protocol rows of
 //     BENCH_cluster.json schema 2.
+//   - sharded/pushpull-delay: push-pull at 10k with a one-round delivery
+//     jitter (the sfnode daemon shape), so about half of all messages
+//     park in the delay queue and drain through the phased deliver path.
 //
 // scripts/bench.sh runs this family and records BENCH_cluster.json.
 func BenchmarkClusterTick(b *testing.B) {
-	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int) func(*testing.B) {
+	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int, delay faults.Delay) func(*testing.B) {
 		return func(b *testing.B) {
 			sub, err := runtime.New(runtime.Config{
 				Engine: engine, N: n, NewCore: factory, Loss: 0.02, Seed: 10,
@@ -295,6 +299,11 @@ func BenchmarkClusterTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sub.Close()
+			if delay != (faults.Delay{}) {
+				if err := sub.Conditions().SetDelay(delay); err != nil {
+					b.Fatal(err)
+				}
+			}
 			// Warm up the arenas so the timed region measures the
 			// zero-allocation steady state, not one-time buffer growth.
 			for i := 0; i < warm; i++ {
@@ -308,9 +317,9 @@ func BenchmarkClusterTick(b *testing.B) {
 		}
 	}
 	pernode := func(n int) func(*testing.B) {
-		return tickRound(runtime.EngineCluster, sfCoreFactory(16, 6), n, 0)
+		return tickRound(runtime.EngineCluster, sfCoreFactory(16, 6), n, 0, faults.Delay{})
 	}
-	sharded := func(factory protocol.CoreFactory, n int) func(*testing.B) {
+	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
 		// Arena capacity creeps up for hundreds of rounds at n>=100k (the
 		// in-flight message high-water mark drifts under loss), so the
 		// larger sizes need a longer warm-up before allocs/op reads 0.
@@ -318,22 +327,24 @@ func BenchmarkClusterTick(b *testing.B) {
 		if n > 10_000 {
 			warm = 500
 		}
-		return tickRound(runtime.EngineSharded, factory, n, warm)
+		return tickRound(runtime.EngineSharded, factory, n, warm, delay)
 	}
 	b.Run("pernode/n=500", pernode(500))
 	b.Run("pernode/n=10k", pernode(10_000))
-	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000))
-	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000))
+	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000, faults.Delay{}))
+	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000, faults.Delay{}))
 	b.Run("sharded/n=1M", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("1M-node round skipped under -short")
 		}
-		sharded(sfCoreFactory(16, 6), 1_000_000)(b)
+		sharded(sfCoreFactory(16, 6), 1_000_000, faults.Delay{})(b)
 	})
 	for _, p := range benchProtocols() {
-		b.Run("sharded/"+p.name+"/n=10k", sharded(p.factory, 10_000))
-		b.Run("sharded/"+p.name+"/n=100k", sharded(p.factory, 100_000))
+		b.Run("sharded/"+p.name+"/n=10k", sharded(p.factory, 10_000, faults.Delay{}))
+		b.Run("sharded/"+p.name+"/n=100k", sharded(p.factory, 100_000, faults.Delay{}))
 	}
+	pushpullCore := func() (protocol.StepCore, error) { return pushpull.NewCore(16) }
+	b.Run("sharded/pushpull-delay/n=10k", sharded(pushpullCore, 10_000, faults.Delay{Jitter: 1}))
 }
 
 // BenchmarkGlobalChainBuild measures exact state-space enumeration of the

@@ -21,8 +21,6 @@
 package driver
 
 import (
-	"container/heap"
-
 	"sendforget/internal/faults"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
@@ -80,42 +78,6 @@ const (
 	DeadLetter
 )
 
-// Held is one message surfaced from the delay queue by Due. Msg.IDs is a
-// copy owned by the router's queue entry; callers may retain it until the
-// next Due call.
-type Held struct {
-	To  peer.ID
-	Msg protocol.Message
-}
-
-// parked is one delay-queue entry.
-type parked struct {
-	due int // clock value at which the message is deliverable
-	seq int // enqueue order, for deterministic equal-due drains
-	to  peer.ID
-	msg protocol.Message
-}
-
-// parkedQueue is a min-heap on (due, seq).
-type parkedQueue []parked
-
-func (q parkedQueue) Len() int { return len(q) }
-func (q parkedQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
-	}
-	return q[i].seq < q[j].seq
-}
-func (q parkedQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *parkedQueue) Push(x any)   { *q = append(*q, x.(parked)) }
-func (q *parkedQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // Router rules on messages for one substrate. It is not safe for concurrent
 // use: each substrate serializes access under its own exclusivity regime
 // (the engine is single-threaded, the network holds its mutex, the sharded
@@ -126,10 +88,20 @@ type Router struct {
 	rng   *rng.RNG
 	live  func(peer.ID) bool
 
-	ledger  Ledger
-	clock   int
-	seq     int
-	pending parkedQueue
+	ledger Ledger
+	clock  int
+
+	// The delay queue is a calendar ring of outbox buckets, one per due
+	// tick: the bucket for tick t is ring[t&(len(ring)-1)], and every tick
+	// in [base, base+len(ring)) has its own slot. Appending to a bucket
+	// keeps enqueue order, so draining bucket by bucket yields exactly the
+	// (due, enqueue) order, and a warmed-up ring parks with no allocation.
+	// The ring spans the longest delay in flight (rounded up to a power of
+	// two), so its size follows the delay configuration, not the traffic.
+	ring    []protocol.Outbox
+	base    int  // due tick of the oldest bucket that may hold messages
+	held    bool // Due handed out the bucket at base; it is reset on the next Due
+	pending int  // parked messages not yet handed out by Due
 }
 
 // NewRouter builds a router ruling through a fault-injection stack. The rng
@@ -150,8 +122,8 @@ func NewRouterModel(m loss.Model, r *rng.RNG, live func(peer.ID) bool) *Router {
 
 // Route rules on one message addressed to to, consulting the fault stack
 // with a per-message decision. Msg.IDs is copied only if the message parks
-// (delay-queue entries outlive the caller's buffers); the steady-state
-// paths never allocate.
+// (into the due tick's bucket, which outlives the caller's buffers); once
+// the buckets are warm no path allocates.
 //
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
@@ -198,16 +170,46 @@ func (rt *Router) ruleVerdict(v faults.Verdict, to peer.ID, msg protocol.Message
 	}
 	if v.Delay > 0 {
 		rt.ledger.Delayed++
-		rt.seq++
-		//lint:allow hotalloc delay-queue entries outlive the caller's arena; parking is off the zero-alloc steady state
-		ids := make([]peer.ID, len(msg.IDs))
-		copy(ids, msg.IDs)
-		msg.IDs = ids
-		//lint:allow hotalloc heap.Push boxes the parked entry; only delayed messages pay it
-		heap.Push(&rt.pending, parked{due: rt.clock + v.Delay, seq: rt.seq, to: to, msg: msg})
+		rt.park(rt.clock+v.Delay, to, msg)
 		return Parked
 	}
 	return rt.deliverable(to)
+}
+
+// park appends msg to the bucket of tick due, growing the ring first when
+// due lies beyond it (a longer delay than any seen so far, for instance
+// after a live SetDelay).
+func (rt *Router) park(due int, to peer.ID, msg protocol.Message) {
+	if rt.pending == 0 && !rt.held {
+		// Every bucket is empty: re-anchor the ring at the next tick, so
+		// clock advances with nothing in flight never force growth.
+		rt.base = rt.clock + 1
+	}
+	for due-rt.base >= len(rt.ring) {
+		rt.grow()
+	}
+	rt.ring[due&(len(rt.ring)-1)].Append(to, msg.From, msg.Kind, msg.Dup, msg.IDs...)
+	rt.pending++
+}
+
+// grow doubles the ring (from empty, to one bucket). Under the wider mask a
+// tick t in [base, base+r) keeps slot t&(r-1) or moves up by r, as bit r of
+// t says; moving swaps buckets, so every bucket keeps its warm capacity.
+func (rt *Router) grow() {
+	r := len(rt.ring)
+	if r == 0 {
+		rt.ring = append(rt.ring, protocol.Outbox{})
+		return
+	}
+	for i := 0; i < r; i++ {
+		rt.ring = append(rt.ring, protocol.Outbox{})
+	}
+	for t := rt.base; t < rt.base+r; t++ {
+		if t&r != 0 {
+			i := t & (r - 1)
+			rt.ring[i], rt.ring[i+r] = rt.ring[i+r], rt.ring[i]
+		}
+	}
 }
 
 // deliverable is the liveness half of the discipline: dead letter or
@@ -224,19 +226,33 @@ func (rt *Router) deliverable(to peer.ID) Outcome {
 // Tick advances the delay-queue clock one round.
 func (rt *Router) Tick() { rt.clock++ }
 
-// Due pops the next delayed message due by the current clock, in (due,
-// enqueue) order; ok is false when nothing further is due. The returned
-// message has not been accounted beyond Delayed: the caller resolves it
-// with Deliverable at drain time.
-func (rt *Router) Due() (Held, bool) {
-	if len(rt.pending) == 0 || rt.pending[0].due > rt.clock {
-		return Held{}, false
+// Due hands out the next nonempty bucket of delayed messages due by the
+// current clock, in due order; ok is false when nothing further is due.
+// Within a bucket, messages are in enqueue order. The messages have not
+// been accounted beyond Delayed: the caller resolves each with Deliverable
+// at drain time. The bucket's headers and ids stay valid until the next Due
+// call, even while replies park meanwhile: a message parks strictly after
+// the current clock, so never into a handed-out bucket.
+//
+//vet:hotpath
+func (rt *Router) Due() (protocol.Outbox, bool) {
+	if rt.held {
+		rt.ring[rt.base&(len(rt.ring)-1)].Reset()
+		rt.base++
+		rt.held = false
 	}
-	d := heap.Pop(&rt.pending).(parked)
-	return Held{To: d.to, Msg: d.msg}, true
+	for ; rt.pending > 0 && rt.base <= rt.clock; rt.base++ {
+		b := &rt.ring[rt.base&(len(rt.ring)-1)]
+		if len(b.Msgs) > 0 {
+			rt.held = true
+			rt.pending -= len(b.Msgs)
+			return *b, true
+		}
+	}
+	return protocol.Outbox{}, false
 }
 
-// Deliverable resolves drain-time liveness for a message surfaced by Due,
+// Deliverable resolves drain-time liveness for a message handed out by Due,
 // counting the dead letter or the delivery. The fault stack is not
 // re-consulted: the message already passed it when it parked.
 func (rt *Router) Deliverable(to peer.ID) bool {
@@ -244,7 +260,7 @@ func (rt *Router) Deliverable(to peer.ID) bool {
 }
 
 // Pending returns the number of messages parked in the delay queue.
-func (rt *Router) Pending() int { return len(rt.pending) }
+func (rt *Router) Pending() int { return rt.pending }
 
 // Ledger returns a snapshot of the traffic ledger.
 func (rt *Router) Ledger() Ledger { return rt.ledger }

@@ -252,23 +252,28 @@ func (e *Engine) DrainDelayed() {
 	}
 }
 
-// drainDue delivers every delayed message due by the current round, in
-// (due, enqueue) order. Routing is resolved at drain time (a destination
-// that left while the message was in flight is a dead letter), and replies
-// re-enter transmit, so they face the fault layer like any send. OnAction
-// does not fire for these deliveries: they belong to no initiate step.
+// drainDue delivers every delayed message due by the current round, bucket
+// by bucket in (due, enqueue) order. Routing is resolved at drain time (a
+// destination that left while the message was in flight is a dead letter),
+// and replies re-enter transmit, so they face the fault layer like any send.
+// OnAction does not fire for these deliveries: they belong to no initiate
+// step.
 func (e *Engine) drainDue() {
 	for {
-		d, ok := e.router.Due()
+		b, ok := e.router.Due()
 		if !ok {
 			return
 		}
-		if !e.router.Deliverable(d.To) {
-			continue
-		}
-		var ev ActionEvent // counters only; not reported
-		if reply, replyTo, hasReply := e.proto.Deliver(d.To, d.Msg, e.r); hasReply {
-			e.transmit(replyTo, reply, &ev)
+		for i := range b.Msgs {
+			m := &b.Msgs[i]
+			if !e.router.Deliverable(m.To) {
+				continue
+			}
+			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: b.MsgIDs(m), Dup: m.Dup}
+			var ev ActionEvent // counters only; not reported
+			if reply, replyTo, hasReply := e.proto.Deliver(m.To, msg, e.r); hasReply {
+				e.transmit(replyTo, reply, &ev)
+			}
 		}
 	}
 }

@@ -170,11 +170,9 @@ func (l *Local) Leave(id int) error {
 	if id < 0 || id >= l.opts.N {
 		return fmt.Errorf("mgmt: node id %d outside cluster universe [0, %d)", id, l.opts.N)
 	}
-	views := l.opts.Sub.Views()
-	if id >= len(views) || views[id] == nil {
+	if !l.opts.Sub.RemoveNode(peer.ID(id)) {
 		return fmt.Errorf("mgmt: node %d is not active", id)
 	}
-	l.opts.Sub.RemoveNode(peer.ID(id))
 	return nil
 }
 

@@ -197,6 +197,49 @@ func TestJoinLeaveValidation(t *testing.T) {
 	getJSON(t, base+"/leave", http.StatusMethodNotAllowed, nil)
 }
 
+// TestLocalLeaveAllocs bounds the cost of a leave on a daemon-sized
+// cluster: Leave answers from the substrate's RemoveNode verdict, so it
+// must not snapshot (and allocate) the 10k views to check liveness.
+func TestLocalLeaveAllocs(t *testing.T) {
+	const n = 10_000
+	sub, err := runtime.New(runtime.Config{
+		Engine: runtime.EngineSharded,
+		N:      n,
+		NewCore: func() (protocol.StepCore, error) {
+			return sendforget.NewCore(8, 2)
+		},
+		Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	backend, err := NewLocal(LocalOptions{
+		Sub: sub, Protocol: "sf", Engine: "sharded", N: n, S: 8, DL: 2,
+		Seed: 42, Period: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	var leaveErr error
+	avg := testing.AllocsPerRun(100, func() {
+		if err := backend.Leave(next); err != nil {
+			leaveErr = err
+		}
+		next++
+	})
+	if leaveErr != nil {
+		t.Fatal(leaveErr)
+	}
+	if avg != 0 {
+		t.Errorf("Local.Leave allocates %.1f times per call on a %d-node sharded cluster, want 0", avg, n)
+	}
+	if err := backend.Leave(0); err == nil {
+		t.Error("leaving a departed node succeeded, want an error")
+	}
+}
+
 func TestConfigReload(t *testing.T) {
 	var reloaded atomic.Int64
 	backend, sub, _, base := newTestLocal(t, 8, 0, func(d time.Duration) {

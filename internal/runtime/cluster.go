@@ -327,13 +327,14 @@ func (c *Cluster) CheckInvariants() error {
 
 // RemoveNode makes node u leave the cluster: its gossip loop stops and it
 // drops off the network, exactly the paper's leave semantics (no protocol
-// action). Its id decays from the other views per Lemma 6.10. Idempotent,
-// and safe to call while the cluster is running.
-func (c *Cluster) RemoveNode(u peer.ID) {
+// action). Its id decays from the other views per Lemma 6.10. It reports
+// whether u was live. Idempotent, and safe to call while the cluster is
+// running.
+func (c *Cluster) RemoveNode(u peer.ID) bool {
 	c.mu.Lock()
 	if int(u) < 0 || int(u) >= len(c.nodes) || c.nodes[u] == nil {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	node := c.nodes[u]
 	c.nodes[u] = nil
@@ -342,6 +343,7 @@ func (c *Cluster) RemoveNode(u peer.ID) {
 	// in-flight Tick, which may be blocked in a receive handler.
 	c.net.Register(u, nil)
 	node.Stop()
+	return true
 }
 
 // AddNode (re)activates node u with the given seed ids (at least

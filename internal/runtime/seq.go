@@ -224,9 +224,13 @@ func (s *seqSubstrate) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	return s.eng.Join(u, seeds)
 }
 
-func (s *seqSubstrate) RemoveNode(u peer.ID) {
+func (s *seqSubstrate) RemoveNode(u peer.ID) bool {
+	if int(u) < 0 || int(u) >= s.cp.n || s.cp.views[u] == nil {
+		return false
+	}
 	// Leave errs only for non-Churner protocols; coreProto always churns.
 	_ = s.eng.Leave(u)
+	return true
 }
 
 // Close is a no-op: the seq engine holds no goroutines or timers.

@@ -40,6 +40,9 @@ import (
 //     discipline of the markov CSR kernel), and buckets survivors into
 //     per-destination-shard inboxes. Deliver: the pool runs each inbox's
 //     receive steps; replies loop back through route until quiet.
+//     Delayed messages due this tick run before initiate as a deliver
+//     generation of their own, read straight out of the delay queue's
+//     bucket (drainDue).
 //   - Results are bit-identical for any worker count: shard geometry
 //     depends only on n (never on GOMAXPROCS), every shard is processed
 //     in node order by exactly one worker, and all cross-shard merging
@@ -172,9 +175,16 @@ type ShardedCluster struct {
 	// consumed in merged shard order. Accessed only by the gate holder.
 	router *driver.Router //vet:confined gate
 
-	// scratch is the sequential outbox used when delivering drained
-	// delayed messages and their reply chains outside the phased path.
-	scratch protocol.Outbox
+	// live is the dense liveness bitset (bit u of word u/64), the copy of
+	// shardedNode.live the router's liveness callback reads: a route pass
+	// or drain checks one bit in a few cache lines instead of missing into
+	// a node record per message. Written with nodes[u].live, by the gate
+	// holder only.
+	live []uint64 //vet:confined gate
+
+	// dueBox holds the delay-queue bucket being drained: the one-box
+	// source set its deliver generation reads from.
+	dueBox [1]protocol.Outbox
 }
 
 // NewSharded builds a sharded tick cluster with the circulant bootstrap
@@ -249,6 +259,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 
 		slots:  make([]peer.ID, cfg.N*s),
 		nodes:  make([]shardedNode, cfg.N),
+		live:   make([]uint64, (cfg.N+63)/64),
 		cores:  make([]protocol.StepCore, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
 
@@ -259,10 +270,10 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 	e.router = driver.NewRouter(cond, rng.New(cfg.Seed), func(id peer.ID) bool {
 		// The router invokes this only from its Route/Deliverable entry
 		// points, which the engine reaches exclusively while holding the
-		// gate (TickRound, drainDue) — a contract the confinement engine
-		// cannot see through the stored callback.
+		// gate (route pass and drain bucketing) — a contract the
+		// confinement engine cannot see through the stored callback.
 		//lint:allow shardconfine router calls the liveness callback with the gate held (route pass and drain both run under the token)
-		return e.nodes[id].live
+		return e.live[id>>6]&(1<<(uint(id)&63)) != 0
 	})
 	if shardSize&(shardSize-1) == 0 {
 		// Power-of-two shard size (the default geometry): the route pass
@@ -326,8 +337,20 @@ func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	e.cores[u] = core
 	nd.batch, _ = core.(protocol.BatchStepCore)
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
-	nd.live = true
+	e.setLive(u, true)
 	return nil
+}
+
+// setLive records node u's liveness in both copies: the node record the
+// phases read and the bitset the router reads. Callers hold the gate (or,
+// in NewSharded, are the only reference holder).
+func (e *ShardedCluster) setLive(u peer.ID, live bool) {
+	e.nodes[u].live = live
+	if live {
+		e.live[u>>6] |= 1 << (uint(u) & 63)
+	} else {
+		e.live[u>>6] &^= 1 << (uint(u) & 63)
+	}
 }
 
 // worker is one parked pool worker: each wake token carries a phase id; the
@@ -435,9 +458,9 @@ func (e *ShardedCluster) initiateShard(k int) {
 
 // deliverShard runs the receive step for every message bucketed to shard k,
 // in bucket order (which the sequential route pass made deterministic),
-// reading message bodies straight out of the source shard arenas. Replies go
-// to the shard's reply outbox and face the fault stack in the next route
-// pass.
+// reading message bodies straight out of the source arenas (the initiate
+// outboxes, a reply set, or a drained delay-queue bucket). Replies go to the
+// shard's reply outbox and face the fault stack in the next route pass.
 func (e *ShardedCluster) deliverShard(k int) {
 	refs := e.inboxRefs[k]
 	src := e.deliverSrc
@@ -489,17 +512,17 @@ func (c *NodeCounters) accumulate(other NodeCounters) {
 // the markov CSR kernel bit-reproducible: parallel phases produce per-chunk
 // buffers, one deterministic order consumes them). Survivors are bucketed
 // by reference into the destination shard's inbox (the boxes stay alive for
-// the deliver phase to read); delayed messages park in the heap with their
-// ids copied out of the transient arena. It returns whether any message was
-// bucketed for delivery.
+// the deliver phase to read); delayed messages park in the router's
+// calendar ring with their ids copied out of the transient arena. It
+// returns whether any message was bucketed for delivery.
 func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	delivered := false
 	e.deliverSrc = boxes
 	// One condition-stack session for the whole pass: the stack is locked
 	// once here instead of once per message (route is sequential, so the
 	// single-owner contract holds trivially). The router rules per message
-	// — drop, park (copying the ids out of the transient arena), dead
-	// letter, or deliver — and the bucketing of survivors stays here.
+	// — drop, park, dead letter, or deliver — and the bucketing of
+	// survivors stays here.
 	ses := e.cond.Begin()
 	for k := range boxes {
 		ob := &boxes[k]
@@ -509,11 +532,7 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 			if e.router.RouteIn(&ses, m.To, msg) != driver.Delivered {
 				continue
 			}
-			dest := int(m.To) / e.shardSize
-			if e.shardPow2 {
-				dest = int(m.To) >> e.shardShift
-			}
-			e.inboxRefs[dest] = append(e.inboxRefs[dest], msgRef{src: int32(k), idx: int32(i)})
+			e.inbox(m.To, k, i)
 			delivered = true
 		}
 	}
@@ -521,67 +540,71 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	return delivered
 }
 
-// drainDue delivers every delayed message due by the current tick, in
-// (due, enqueue) order — sequentially, off the phased path (drains are rare
-// and small; determinism matters more than parallelism here). Routing is
-// resolved at drain time, so a message to a node that departed while in
-// flight is a dead letter, exactly as on the other substrates.
-func (e *ShardedCluster) drainDue() {
-	for {
-		d, ok := e.router.Due()
-		if !ok {
-			return
+// inbox buckets message i of source box src into its destination's shard
+// inbox.
+func (e *ShardedCluster) inbox(to peer.ID, src, i int) {
+	dest := int(to) / e.shardSize
+	if e.shardPow2 {
+		dest = int(to) >> e.shardShift
+	}
+	e.inboxRefs[dest] = append(e.inboxRefs[dest], msgRef{src: int32(src), idx: int32(i)})
+}
+
+// settle runs the deliver phase over what the last route pass (or drain
+// bucketing) put into the inboxes, then routes each reply generation and
+// delivers it in turn until the round is quiet. Replies of a deliver
+// generation go to the reply set the deliver phase is NOT reading from, so
+// it reads ids straight out of the source arenas while appending replies
+// to the other set; the two sets alternate across generations. Reply
+// chains terminate for every current protocol (replies never generate
+// further replies), so this loop runs at most twice.
+func (e *ShardedCluster) settle(pending bool) {
+	w := 0
+	for pending {
+		rs := e.replySets[w]
+		for k := range rs {
+			rs[k].Reset()
 		}
-		if !e.router.Deliverable(d.To) {
-			continue
-		}
-		e.deliverNow(d.To, protocol.Packet{Kind: d.Msg.Kind, From: d.Msg.From, IDs: d.Msg.IDs, Dup: d.Msg.Dup})
+		e.replyOut = rs
+		e.runPhase(phaseDeliver)
+		w ^= 1
+		pending = e.route(rs)
 	}
 }
 
-// deliverNow delivers one message immediately, following its reply chain
-// through the fault stack (replies may be dropped, delayed, or delivered in
-// turn). The first hop is already accounted by the caller's Deliverable
-// check; replies re-enter the router like any send. Used for drained
-// delayed messages only; phased delivery handles the per-tick bulk.
-func (e *ShardedCluster) deliverNow(to peer.ID, pkt protocol.Packet) {
+// drainDue delivers every delayed message due by the current tick through
+// the phased path, one delay-queue bucket at a time (at Jitter 1 about half
+// of all traffic comes this way). Each bucket is a deliver generation 0: its
+// messages face the drain-time liveness check (a node that departed while
+// the message was in flight makes it a dead letter, as on the other
+// substrates) but not the fault stack again, are bucketed by destination
+// shard in enqueue order, and run through the deliver phase; replies then
+// route and settle like any reply generation.
+func (e *ShardedCluster) drainDue() {
 	for {
-		nd := &e.nodes[to]
-		k := int(to) / e.shardSize
-		e.scratch.Reset()
-		cnt := &e.counters[k]
-		cnt.Receives++
-		if bc := nd.batch; bc != nil {
-			if bc.ReceiveBatch(&nd.view, to, pkt, &nd.rng, &e.scratch) {
-				cnt.Replies++
-			}
-		} else {
-			//lint:allow hotalloc classic StepCore fallback allocates by contract; cores with a batch path never take it
-			if reply, ok := e.cores[to].Receive(&nd.view, to, pkt.Message(), &nd.rng); ok {
-				cnt.Replies++
-				e.scratch.Append(reply.To, reply.Msg.From, reply.Msg.Kind, reply.Msg.Dup, reply.Msg.IDs...)
-			}
-		}
-		if len(e.scratch.Msgs) == 0 {
+		b, ok := e.router.Due()
+		if !ok {
 			return
 		}
-		// Current protocols reply with at most one message; route it and
-		// continue the chain.
-		m := &e.scratch.Msgs[0]
-		msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: e.scratch.MsgIDs(m), Dup: m.Dup}
-		if e.router.Route(m.To, msg) != driver.Delivered {
-			return
+		e.dueBox[0] = b
+		e.deliverSrc = e.dueBox[:]
+		delivered := false
+		for i := range b.Msgs {
+			to := b.Msgs[i].To
+			if e.router.Deliverable(to) {
+				e.inbox(to, 0, i)
+				delivered = true
+			}
 		}
-		to = m.To
-		pkt = protocol.Packet{Kind: m.Kind, From: m.From, IDs: e.scratch.MsgIDs(m), Dup: m.Dup}
+		e.settle(delivered)
 	}
 }
 
 // TickRound drives one synchronous round: the delay queue delivers what came
-// due, every live node initiates once (initiate phase), the fault stack
-// rules on the round's messages in shard order (route), and survivors'
-// receive steps run (deliver phase), with reply generations looping through
-// route until the round is quiet.
+// due (drainDue), every live node initiates once (initiate phase), the fault
+// stack rules on the round's messages in shard order (route), and
+// survivors' receive steps run (deliver phase), with reply generations
+// looping through route until the round is quiet.
 //
 //vet:hotpath
 func (e *ShardedCluster) TickRound() {
@@ -589,25 +612,7 @@ func (e *ShardedCluster) TickRound() {
 	e.router.Tick()
 	e.drainDue()
 	e.runPhase(phaseInitiate)
-	cur := e.outboxes
-	w := 0
-	for e.route(cur) {
-		// Replies of this deliver generation go to the reply set the route
-		// pass is NOT reading from: route bucketed references into cur, so
-		// the deliver phase reads ids straight out of cur's arenas while
-		// appending replies to rs. The two sets alternate across
-		// generations. Reply chains terminate for every current protocol
-		// (replies never generate further replies), so this loop runs at
-		// most twice.
-		rs := e.replySets[w]
-		for k := range rs {
-			rs[k].Reset()
-		}
-		e.replyOut = rs
-		e.runPhase(phaseDeliver)
-		cur = rs
-		w ^= 1
-	}
+	e.settle(e.route(e.outboxes))
 	e.gate <- struct{}{}
 }
 
@@ -697,15 +702,17 @@ func (e *ShardedCluster) CheckInvariants() error {
 
 // RemoveNode makes node u leave the cluster, the paper's leave semantics:
 // no protocol action, its id decays from other views, and in-flight
-// messages to it become dead letters. Idempotent, safe during concurrent
-// ticking.
-func (e *ShardedCluster) RemoveNode(u peer.ID) {
+// messages to it become dead letters. It reports whether u was live.
+// Idempotent, safe during concurrent ticking.
+func (e *ShardedCluster) RemoveNode(u peer.ID) bool {
 	if int(u) < 0 || int(u) >= e.n {
-		return
+		return false
 	}
 	<-e.gate
-	e.nodes[u].live = false
+	was := e.nodes[u].live
+	e.setLive(u, false)
 	e.gate <- struct{}{}
+	return was
 }
 
 // AddNode (re)activates node u with the given seed ids (at least max(2, dL)

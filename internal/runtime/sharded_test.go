@@ -321,24 +321,38 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 // TestShardedZeroAllocTick is the memory-budget gate, parameterized over all
 // five batch step cores: after warm-up, a steady-state tick round performs
 // zero heap allocations (flat state, reused outboxes, fused view primitives).
-// CI runs this test; a protocol whose batch core starts allocating per
-// message fails its own subtest immediately.
+// The delayed case holds the delay path to the same budget: under a
+// one-round jitter about half of all messages park in the calendar ring
+// and drain through the phased deliver path. CI runs this test; a protocol
+// whose batch core starts allocating per message fails its own subtest
+// immediately.
 func TestShardedZeroAllocTick(t *testing.T) {
 	for _, p := range batchProtocols() {
 		t.Run(p.name, func(t *testing.T) {
-			e, err := runtime.NewSharded(runtime.ShardedConfig{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			// Warm up until the outbox arenas reach their steady-state
-			// capacity.
-			for round := 0; round < 50; round++ {
-				e.TickRound()
-			}
-			avg := testing.AllocsPerRun(20, e.TickRound)
-			if avg != 0 {
-				t.Errorf("steady-state TickRound allocates %.1f times per round, want 0", avg)
+			for _, delay := range []faults.Delay{{}, {Jitter: 1}} {
+				name := "immediate"
+				if delay.Jitter > 0 {
+					name = "delayed"
+				}
+				t.Run(name, func(t *testing.T) {
+					e, err := runtime.NewSharded(runtime.ShardedConfig{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					if err := e.Conditions().SetDelay(delay); err != nil {
+						t.Fatal(err)
+					}
+					// Warm up until the outbox arenas and delay-queue
+					// buckets reach their steady-state capacity.
+					for round := 0; round < 50; round++ {
+						e.TickRound()
+					}
+					avg := testing.AllocsPerRun(20, e.TickRound)
+					if avg != 0 {
+						t.Errorf("steady-state TickRound allocates %.1f times per round, want 0", avg)
+					}
+				})
 			}
 		})
 	}

@@ -57,8 +57,10 @@ type Substrate interface {
 	// tick-driven ones.
 	AddNode(u peer.ID, seeds []peer.ID, start bool) error
 	// RemoveNode makes node u leave: no protocol action, its id decays
-	// from other views, in-flight messages to it become dead letters.
-	RemoveNode(u peer.ID)
+	// from other views, in-flight messages to it become dead letters. It
+	// reports whether u was live (false: outside the universe or already
+	// departed), so callers need no snapshot to validate a leave.
+	RemoveNode(u peer.ID) bool
 	// Close releases the substrate's resources (worker pools, timers).
 	// The substrate must not be used after Close; Close is idempotent.
 	Close()

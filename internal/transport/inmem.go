@@ -157,14 +157,21 @@ func (nw *Network) Advance() {
 	nw.mu.Lock()
 	nw.router.Tick()
 	for {
-		d, ok := nw.router.Due()
+		b, ok := nw.router.Due()
 		if !ok {
 			break
 		}
-		if !nw.router.Deliverable(d.To) {
-			continue
+		for i := range b.Msgs {
+			m := &b.Msgs[i]
+			if !nw.router.Deliverable(m.To) {
+				continue
+			}
+			// Handlers run after the lock is released, when a concurrent
+			// Advance may already have recycled the bucket: copy the ids.
+			ids := append([]peer.ID(nil), b.MsgIDs(m)...)
+			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
+			deliveries = append(deliveries, delivery{h: nw.handlerFor(m.To), msg: msg})
 		}
-		deliveries = append(deliveries, delivery{h: nw.handlerFor(d.To), msg: d.Msg})
 	}
 	nw.mu.Unlock()
 	for _, d := range deliveries {
